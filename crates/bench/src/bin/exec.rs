@@ -1,4 +1,4 @@
-//! `exec` — the PR-10 windowed-executor verification-throughput track
+//! `exec` — the envelope-memo verification-throughput track
 //! (`results/BENCH_pr10.json`).
 //!
 //! The workload is a 100,000-node strip carrying **platoon-relay
@@ -7,58 +7,49 @@
 //! aggregation pattern — receivers authenticate the whole platoon from
 //! one broadcast). Every receiver in radio range verifies the leader's
 //! envelope plus each member envelope it carries. Two legs run the same
-//! world, differing only in *how* events execute and *how* envelopes
-//! verify:
+//! world on the same serial event loop, differing only in *how*
+//! envelopes verify:
 //!
-//! * **Leg A (PR-8 baseline)**: serial executor, each receiver calls the
-//!   scalar [`Sealed::verify`] inline — full signature math per envelope
-//!   per receiver, so one broadcast heard by 24 receivers costs 24×
-//!   (members + 1) verifications.
-//! * **Leg B (PR-10)**: conservative-window parallel executor
-//!   (`Windowed { threads: 8 }`) with a window-boundary verification
-//!   prefetcher on the window tap: each window's *unique* envelopes
-//!   flush through one batch [`VerifyQueue`] during the serial scan,
-//!   every verdict lands in the process-global envelope memo, and the
-//!   receivers' in-handler `verify_one` calls — running in parallel on
-//!   the pool's worker lanes — become memo hits. Each envelope is proven
-//!   once per window, not once per receiver.
+//! * **Leg A (scalar)**: each receiver calls [`Sealed::verify`] inline —
+//!   full signature math per envelope per receiver, so one broadcast
+//!   heard by 24 receivers costs 24× (members + 1) verifications.
+//! * **Leg B (memo)**: each receiver verifies through its own
+//!   [`VerifyQueue`]. The first receiver of a broadcast proves each
+//!   envelope and stores the verdict in the process-global envelope memo;
+//!   every later receiver's `verify_one` is a memo hit (digest, lookup,
+//!   live validity-window check). Each envelope is proven once, not once
+//!   per receiver.
 //!
-//! Gates (absolute floors, like every bench bin):
+//! Every paired round asserts that Leg A and Leg B finish on the exact same
+//! `EngineStamp` (clock, queue counters, RNG state, `Stats::digest`, node
+//! digests) and verification counters: the verification style is
+//! behaviorally invisible. Gates (absolute floors, like every bench bin):
 //!
-//! 1. **identity** — Leg B under `Windowed { 8 }` finishes on the exact
-//!    `EngineStamp`/`Stats::digest` of the serial executor, and on the
-//!    exact stamp of Leg A (verification style is behaviorally
-//!    invisible). The tentpole's bit-identity claim, at benchmark N.
-//! 2. **speedup** — median paired-round event-throughput ratio
+//! 1. **speedup** — median paired-round event-throughput ratio
 //!    Leg B / Leg A ≥ [`SPEEDUP_FLOOR`].
-//! 3. **flush width** — the prefetcher's mean `VerifyQueue` flush width
-//!    strictly exceeds [`FLUSH_WIDTH_FLOOR`]: window-boundary flushes
-//!    really do batch past the ≤ 2 signatures-per-flush ceiling of the
-//!    in-handler queue (the PR-7 finding).
-//! 4. **clean** — zero verification failures anywhere: honest traffic
-//!    must audit clean through every path.
+//! 2. **clean** — zero verification failures in either leg: honest
+//!    traffic must verify clean through both paths.
+//!
+//! The report records the host's `available_parallelism`
+//! (`exec_host_cpus`) next to the throughput numbers; both legs run on
+//! one thread, so the ratio does not depend on it.
 
-use std::cell::RefCell;
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::rc::Rc;
 use std::time::Instant;
 
-use blackdp::{
-    envelope_memo_clear, BoundaryAuditStats, BoundaryAuditor, Sealed, SignBytes, VerifyQueue,
-};
+use blackdp::{envelope_memo_clear, Sealed, SignBytes, VerifyQueue};
 use blackdp_crypto::{Certificate, Keypair, LongTermId, PublicKey, TaId, TrustedAuthority};
 use blackdp_scenario::atomic_write;
 use blackdp_sim::{
-    Channel, Context, Duration, ExecutorMode, Node, NodeId, Position, Time, WindowEvent, World,
-    WorldBackend, WorldConfig,
+    Channel, Context, Duration, EngineStamp, Node, NodeId, Position, Time, World, WorldBackend,
+    WorldConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const OUT_PATH: &str = "results/BENCH_pr10.json";
-const SCHEMA: &str = "blackdp-exec/v1";
+const SCHEMA: &str = "blackdp-exec/v2";
 
 /// Nodes on the strip (the PR-8 track's benchmark N).
 const N: usize = 100_000;
@@ -75,10 +66,6 @@ const MEMBERS: usize = 6;
 
 /// Minimum median Leg B / Leg A event-throughput ratio.
 const SPEEDUP_FLOOR: f64 = 2.0;
-
-/// The prefetcher's mean envelopes-per-flush must strictly exceed this
-/// (the in-handler queue's structural ceiling).
-const FLUSH_WIDTH_FLOOR: f64 = 2.0;
 
 // ---------------------------------------------------------------------------
 // Workload: platoon-relay beacons on a strip
@@ -106,8 +93,8 @@ impl SignBytes for MemberReport {
 /// either breaking the member's own verification (body changed under its
 /// `e`) or the outer's (scalars changed under the leader's signature).
 /// Scalar binding keeps the outer signed-byte stream fixed-width per
-/// member, which matters because the deferred verifier hashes these
-/// bytes once per receiver per window.
+/// member, which matters because the memo digest covers these bytes once
+/// per receiver.
 #[derive(Debug, Clone, PartialEq)]
 struct PlatoonBeacon {
     leader: u32,
@@ -142,8 +129,8 @@ struct LeaderState {
     creds: PlatoonCreds,
     phase: Duration,
     period: Duration,
-    /// Nonce source for sealing; timers run serially in both executors,
-    /// so the draw order is executor-invariant.
+    /// Nonce source for sealing; private to the leader, so both legs draw
+    /// the same nonces in the same order.
     sign_rng: StdRng,
     round: u64,
 }
@@ -295,19 +282,12 @@ impl Fleet {
         }
     }
 
-    fn build(&self, executor: ExecutorMode, queued: bool) -> World<Packet, u8> {
+    fn build(&self, queued: bool) -> World<Packet, u8> {
         let cfg = WorldConfig {
             radio_range_m: 300.0,
             seed: 0xb1ac_4d10,
             backend: WorldBackend::Sharded { shards: 4 },
             motion_bound_mps: 35.0,
-            // This workload sends nothing over the wired channel, so the
-            // wired latency is set to the radio latency instead of the
-            // 1 ms default: the conservative window spans
-            // `min(radio, wired)`, and a latency no packet ever uses
-            // should not halve every window.
-            wired_latency: Duration::from_millis(2),
-            executor,
             ..WorldConfig::default()
         };
         let mut world = World::new(cfg);
@@ -337,61 +317,6 @@ impl Fleet {
     }
 }
 
-/// A cheap per-window dedup key: the certificate's and envelope's
-/// signature scalars. Within one window the honest broadcast fan-out
-/// delivers byte-identical envelope copies, so equal keys mean equal
-/// envelopes here; the dedup only trims the *observational* prefetch
-/// stream — every receiver's handler still verifies its own copy against
-/// the full-byte-keyed memo, so verdicts never ride this shortcut.
-fn sig_key<T: SignBytes>(sealed: &Sealed<T>) -> u128 {
-    blackdp_crypto::fast_hash_128(&[
-        &sealed.cert.signature.e.to_be_bytes(),
-        &sealed.cert.signature.s.to_be_bytes(),
-        &sealed.signature.e.to_be_bytes(),
-        &sealed.signature.s.to_be_bytes(),
-    ])
-}
-
-/// Installs the window-boundary verification prefetcher: each admitted
-/// delivery's unique envelopes (outer beacon + relayed member reports)
-/// enqueue during the serial scan, and the whole window flushes as one
-/// batch at the `Flush` mark — warming the global memo before any
-/// handler runs.
-fn attach_prefetch(
-    world: &mut World<Packet, u8>,
-    ta_key: PublicKey,
-) -> Rc<RefCell<BoundaryAuditor>> {
-    let auditor = Rc::new(RefCell::new(BoundaryAuditor::new(ta_key, 4096)));
-    let sink = Rc::clone(&auditor);
-    let mut seen: HashSet<u128, blackdp_crypto::DigestHasherBuilder> = HashSet::default();
-    world.set_window_tap(Box::new(move |event: WindowEvent<'_, Packet>| match event {
-        WindowEvent::Delivery { at, payload, .. } => {
-            // One key decides the whole delivery: a beacon's members
-            // travel only inside that beacon, so a duplicate outer means
-            // every inner was already observed too.
-            if seen.insert(sig_key(payload)) {
-                let mut sink = sink.borrow_mut();
-                sink.observe(payload, at);
-                for m in &payload.body.members {
-                    if seen.insert(sig_key(m)) {
-                        sink.observe(m, at);
-                    }
-                }
-            }
-        }
-        WindowEvent::Flush { .. } => {
-            // `seen` persists across windows (an envelope proven once is
-            // proven for the leg — the memo it warmed is global too) and
-            // only resets on a size cap so a long run stays bounded.
-            if seen.len() > 1 << 16 {
-                seen.clear();
-            }
-            sink.borrow_mut().flush();
-        }
-    }));
-    auditor
-}
-
 /// One timed leg: runs the world to the virtual horizon and reports wall
 /// seconds plus executed events (scheduled minus still-pending) and the
 /// identity witnesses.
@@ -399,40 +324,30 @@ struct LegResult {
     wall_secs: f64,
     executed: u64,
     events_per_s: f64,
-    stamp: blackdp_sim::EngineStamp,
-    stats_digest: u64,
+    stamp: EngineStamp,
     verified_ok: u64,
     verified_err: u64,
-    audit: Option<BoundaryAuditStats>,
 }
 
-fn timed_leg(fleet: &Fleet, executor: ExecutorMode, queued: bool, horizon: Time) -> LegResult {
+fn timed_leg(fleet: &Fleet, queued: bool, horizon: Time) -> LegResult {
     // Every leg starts crypto-cold so rounds are comparable: no verdicts
     // leak across legs through the process-global envelope memo or the
     // per-thread certificate cache.
     envelope_memo_clear();
     blackdp_crypto::cert_cache_clear();
-    let mut world = fleet.build(executor, queued);
-    let auditor = queued.then(|| attach_prefetch(&mut world, fleet.ta_key));
+    let mut world = fleet.build(queued);
     let started = Instant::now();
     world.run_until(horizon);
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
     let stamp = world.engine_stamp();
     let executed = stamp.scheduled - stamp.pending;
-    let audit = auditor.map(|a| {
-        let mut a = a.borrow_mut();
-        a.flush();
-        a.stats()
-    });
     LegResult {
         wall_secs,
         executed,
         events_per_s: executed as f64 / wall_secs,
         stamp,
-        stats_digest: world.stats().digest(),
         verified_ok: world.stats().get("verified_ok"),
         verified_err: world.stats().get("verified_err"),
-        audit,
     }
 }
 
@@ -521,62 +436,27 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut gates: Vec<Gate> = Vec::new();
     let mut latest = Metrics(Vec::new());
     latest.put("exec_n", N as f64);
+    latest.put("exec_host_cpus", host_cpus as f64);
 
-    println!("==> exec: provisioning {N} nodes ({} platoons of {MEMBERS})", N / BROADCAST_STRIDE);
+    println!(
+        "==> exec: provisioning {N} nodes ({} platoons of {MEMBERS}), host cpus {host_cpus}",
+        N / BROADCAST_STRIDE
+    );
     let fleet = Fleet::provision(N);
 
-    // -- Identity: windowed ≡ serial at benchmark N -------------------------
-    println!("==> exec: bit-identity, Leg B serial vs Windowed{{8}}");
-    let id_serial = timed_leg(&fleet, ExecutorMode::Serial, true, horizon);
-    let id_windowed = timed_leg(&fleet, ExecutorMode::Windowed { threads: 8 }, true, horizon);
-    assert_eq!(
-        id_serial.stamp, id_windowed.stamp,
-        "EngineStamp diverged between serial and windowed executors"
-    );
-    assert_eq!(
-        id_serial.stats_digest, id_windowed.stats_digest,
-        "Stats digest diverged between serial and windowed executors"
-    );
-    gate(
-        &mut gates,
-        "exec/identity",
-        true,
-        format!(
-            "serial and Windowed{{8}} agree on EngineStamp and Stats digest over {} event(s)",
-            id_windowed.executed
-        ),
-    );
-
-    if std::env::var_os("EXEC_PROBE").is_some() {
-        let legs: [(&str, ExecutorMode, bool); 5] = [
-            ("serial+scalar", ExecutorMode::Serial, false),
-            ("serial+memo", ExecutorMode::Serial, true),
-            ("win1+memo", ExecutorMode::Windowed { threads: 1 }, true),
-            ("win8+memo", ExecutorMode::Windowed { threads: 8 }, true),
-            ("win8+scalar", ExecutorMode::Windowed { threads: 8 }, false),
-        ];
-        for (name, ex, queued) in legs {
-            let r = timed_leg(&fleet, ex, queued, horizon);
-            println!(
-                "  probe {name:>14}: {:>9.0} ev/s ({:.3}s, {} events)",
-                r.events_per_s, r.wall_secs, r.executed
-            );
-        }
-    }
-
     // -- Paired throughput rounds ------------------------------------------
-    println!("==> exec: paired rounds, Leg A (scalar+serial) vs Leg B (memo+windowed)");
+    println!("==> exec: paired rounds, Leg A (scalar) vs Leg B (memo), both serial");
     let mut ratios = Vec::new();
-    let mut last_a: Option<LegResult> = None;
-    let mut last_b: Option<LegResult> = None;
-    let mut audit_total = BoundaryAuditStats::default();
+    let mut failures = 0u64;
+    let mut last = None;
     for round in 0..rounds {
-        let a = timed_leg(&fleet, ExecutorMode::Serial, false, horizon);
-        let b = timed_leg(&fleet, ExecutorMode::Windowed { threads: 8 }, true, horizon);
+        let a = timed_leg(&fleet, false, horizon);
+        let b = timed_leg(&fleet, true, horizon);
         // Cross-leg identity: the verification style must be behaviorally
         // invisible — same events, same stamps, same counters.
         assert_eq!(a.stamp, b.stamp, "Leg A and Leg B stamps diverged");
@@ -587,20 +467,15 @@ fn main() {
             a.events_per_s, a.wall_secs, b.events_per_s, b.wall_secs
         );
         ratios.push(ratio);
-        let audit = b.audit.expect("Leg B runs with the prefetcher attached");
-        audit_total.enqueued += audit.enqueued;
-        audit_total.flushes += audit.flushes;
-        audit_total.failures += audit.failures;
-        audit_total.max_width = audit_total.max_width.max(audit.max_width);
-        last_a = Some(a);
-        last_b = Some(b);
+        failures += a.verified_err + b.verified_err;
+        last = Some((a, b));
     }
-    let (a, b) = (last_a.unwrap(), last_b.unwrap());
+    let (a, b) = last.expect("at least one round");
     let speedup = median(&mut ratios);
     latest.put("exec_events", a.executed as f64);
     latest.put("exec_verified_per_event", (MEMBERS + 1) as f64);
     latest.put("exec_events_per_s_scalar_serial", a.events_per_s);
-    latest.put("exec_events_per_s_memo_windowed", b.events_per_s);
+    latest.put("exec_events_per_s_memo", b.events_per_s);
     latest.put("exec_speedup_median", speedup);
     latest.put("exec_verified_ok", a.verified_ok as f64);
     gate(
@@ -612,35 +487,11 @@ fn main() {
              (floor {SPEEDUP_FLOOR:.1}x)"
         ),
     );
-
-    // -- Prefetch flush width ----------------------------------------------
-    let mean_width = if audit_total.flushes == 0 {
-        0.0
-    } else {
-        audit_total.enqueued as f64 / audit_total.flushes as f64
-    };
-    latest.put("exec_prefetch_enqueued", audit_total.enqueued as f64);
-    latest.put("exec_prefetch_flushes", audit_total.flushes as f64);
-    latest.put("exec_prefetch_mean_width", mean_width);
-    latest.put("exec_prefetch_max_width", audit_total.max_width as f64);
-    gate(
-        &mut gates,
-        "exec/flush-width",
-        mean_width > FLUSH_WIDTH_FLOOR && audit_total.flushes > 0,
-        format!(
-            "{} unique envelope(s) over {} window flush(es): mean width {mean_width:.2} \
-             (must exceed {FLUSH_WIDTH_FLOOR:.1}), widest {}",
-            audit_total.enqueued, audit_total.flushes, audit_total.max_width
-        ),
-    );
     gate(
         &mut gates,
         "exec/clean",
-        audit_total.failures == 0 && a.verified_err == 0 && b.verified_err == 0,
-        format!(
-            "{} prefetch failure(s), {} / {} in-handler failure(s) on honest traffic",
-            audit_total.failures, a.verified_err, b.verified_err
-        ),
+        failures == 0,
+        format!("{failures} verification failure(s) on honest traffic across both legs"),
     );
 
     // -- Report ------------------------------------------------------------

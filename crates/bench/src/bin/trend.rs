@@ -1,8 +1,8 @@
 //! `trend` — the bench history in one table.
 //!
 //! Every optimization PR leaves a `results/BENCH_pr<N>.json` behind
-//! (PR 2 micro/e2e, PR 7 raw-speed, PR 8 sharded scale, PR 10 windowed
-//! executor), each with its own schema and its own `baseline`/`latest`
+//! (PR 2 micro/e2e, PR 7 raw-speed, PR 8 sharded scale, PR 10 envelope
+//! memo), each with its own schema and its own `baseline`/`latest`
 //! pair — the baseline block being the numbers frozen when that PR
 //! landed (for the earliest file, the seed). Reading the trajectory
 //! therefore means opening four files and knowing four layouts. This bin
@@ -99,7 +99,7 @@ fn discover(dir: &Path) -> Vec<(u32, PathBuf)> {
 
 /// The one metric that summarizes a file, per schema: end-to-end trial
 /// rate for the perf tracks, best sharded event rate for the scale
-/// track, windowed-executor event rate for the exec track. Falls back to
+/// track, memo-leg event rate for the exec track. Falls back to
 /// the first metric so unknown future schemas still produce a row.
 fn headline(file: &BenchFile) -> Option<String> {
     let latest_names: Vec<&str> = file.latest.iter().map(|(n, _)| n.as_str()).collect();
@@ -115,7 +115,7 @@ fn headline(file: &BenchFile) -> Option<String> {
                 .any(|n| n.starts_with("scale_events_per_s_shards"))
                 .then(|| "scale_events_per_s_shards* (best)".to_owned());
         }
-        "blackdp-exec/v1" => Some("exec_events_per_s_memo_windowed"),
+        "blackdp-exec/v2" => Some("exec_events_per_s_memo"),
         _ => None,
     };
     pick.or_else(|| latest_names.first().copied())

@@ -57,8 +57,8 @@ struct VerifyJob {
     /// the flush proves it.
     store: Option<u128>,
     /// Copy the raw verdict of an earlier job in the same batch carrying
-    /// a byte-identical envelope (the broadcast case: every receiver in a
-    /// window sees the same sealed beacon).
+    /// a byte-identical envelope (the broadcast case: every receiver of a
+    /// beacon sees the same sealed envelope).
     alias_of: Option<u32>,
 }
 
@@ -69,9 +69,8 @@ struct VerifyJob {
 const ENVELOPE_MEMO_SHARD_CAP: usize = 8_192;
 
 /// Shard count for the envelope memo. Power of two so shard selection is
-/// a mask; sized so eight windowed-executor worker threads rarely
-/// collide on one lock (the digest is fnv output, so its low bits spread
-/// uniformly).
+/// a mask; sized so concurrent sweep workers rarely collide on one lock
+/// (the digest is hash output, so its low bits spread uniformly).
 const ENVELOPE_MEMO_SHARDS: usize = 16;
 
 type MemoShard = std::sync::Mutex<HashMap<u128, (bool, bool), blackdp_crypto::DigestHasherBuilder>>;
@@ -79,15 +78,15 @@ type MemoShard = std::sync::Mutex<HashMap<u128, (bool, bool), blackdp_crypto::Di
 /// The process-global envelope-verdict memo: envelope digest →
 /// `(cert_ok, body_ok)`, sharded by digest low bits.
 ///
-/// Unlike the per-thread certificate cache this is deliberately global:
-/// a broadcast beacon is verified once per *receiver*, and with the
-/// windowed executor those receivers' handlers run on different worker
-/// threads. Signature validity is a pure function of the envelope bytes,
-/// so sharing verdicts across threads cannot perturb any result — the
-/// validity *window* (time-dependent) is always evaluated fresh and is
-/// never memoized. Sharding exists purely so parallel window lanes
-/// contend on different locks: a single-mutex memo measurably *lost*
-/// throughput at eight lanes.
+/// A broadcast beacon is verified once per *receiver*; the memo turns
+/// every verification after the first into a digest lookup. Unlike the
+/// per-thread certificate cache it is process-global, so the workers of a
+/// parallel sweep (`parallel_map`, one trial per thread) all reach the
+/// same memo. Signature validity is a pure function of the envelope
+/// bytes, so sharing verdicts across threads cannot perturb any result —
+/// the validity *window* (time-dependent) is always evaluated fresh and
+/// is never memoized. Sharding exists so concurrent sweep workers contend
+/// on different locks.
 fn envelope_memo() -> &'static [MemoShard; ENVELOPE_MEMO_SHARDS] {
     static MEMO: std::sync::OnceLock<[MemoShard; ENVELOPE_MEMO_SHARDS]> =
         std::sync::OnceLock::new();
@@ -357,9 +356,8 @@ impl VerifyQueue {
     /// verifications [`Sealed::verify`] would, minus its per-call
     /// allocations. An envelope already proven anywhere in the process
     /// short-circuits on the memo alone — digest, shard lookup, verdict —
-    /// skipping the whole job/flush machinery; the windowed executor's
-    /// handlers lean on this after the window prefetcher has batch-proven
-    /// the window's envelopes.
+    /// skipping the whole job/flush machinery. Every receiver of a
+    /// broadcast after the first takes this path.
     pub fn verify_one<T: SignBytes>(
         &mut self,
         sealed: &Sealed<T>,

@@ -10,7 +10,7 @@ use blackdp_crypto::{Keypair, LongTermId, TaId, TrustedAuthority};
 use blackdp_mobility::{
     random_position_in_cluster, ClusterId, ClusterPlan, Direction, Kmh, Trajectory,
 };
-use blackdp_sim::{Duration, ExecutorMode, NodeId, Position, Time, World, WorldConfig};
+use blackdp_sim::{Duration, NodeId, Position, Time, World, WorldConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -68,33 +68,6 @@ impl std::fmt::Debug for BuiltScenario {
     }
 }
 
-/// Resolves the executor for a trial: the `BLACKDP_EXECUTOR` environment
-/// variable (`serial` / `windowed`, read once per process) overrides the
-/// configured mode; anything else — including an unset variable — keeps it.
-/// Every scenario entry point (trial runners, golden replay, corpus replay,
-/// checkpoint restore) builds worlds through [`build_scenario`], so the
-/// override uniformly re-runs existing suites under the windowed executor.
-/// Safe to override precisely because the executors are bit-identical.
-fn resolve_executor(configured: ExecutorMode) -> ExecutorMode {
-    static OVERRIDE: std::sync::OnceLock<Option<ExecutorMode>> = std::sync::OnceLock::new();
-    OVERRIDE
-        .get_or_init(|| match std::env::var("BLACKDP_EXECUTOR") {
-            Ok(raw) if raw.trim().eq_ignore_ascii_case("windowed") => {
-                Some(ExecutorMode::Windowed { threads: 0 })
-            }
-            Ok(raw) if raw.trim().eq_ignore_ascii_case("serial") => Some(ExecutorMode::Serial),
-            Ok(raw) => {
-                eprintln!(
-                    "warning: BLACKDP_EXECUTOR={raw:?} is neither \"serial\" nor \
-                     \"windowed\"; ignoring it"
-                );
-                None
-            }
-            Err(_) => None,
-        })
-        .unwrap_or(configured)
-}
-
 /// Builds the full Table-I world for one trial.
 pub fn build_scenario(cfg: &ScenarioConfig, spec: &TrialSpec) -> BuiltScenario {
     let mut rng = StdRng::seed_from_u64(spec.seed);
@@ -121,7 +94,6 @@ pub fn build_scenario(cfg: &ScenarioConfig, spec: &TrialSpec) -> BuiltScenario {
         // coverage proof comfortable even if a future mobility model
         // rounds speeds up slightly.
         motion_bound_mps: Kmh(cfg.max_speed_kmh).as_mps() * 1.25,
-        executor: resolve_executor(cfg.executor),
     };
     let mut world: World<Frame, Tick> = World::new(world_cfg);
 

@@ -25,7 +25,7 @@
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use blackdp_sim::{Duration, ExecutorMode, Time, WorldBackend};
+use blackdp_sim::{Duration, Time, WorldBackend};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -96,12 +96,6 @@ pub struct FuzzCase {
     /// design, which is exactly what the shard-invariance metamorphic
     /// oracle checks. Absent from pre-PR-8 corpus lines (defaults to 0).
     pub shards: u32,
-    /// Event-executor worker threads: 0 = the serial executor, n ≥ 1 =
-    /// `ExecutorMode::Windowed { threads: n }`. Bit-identical to serial
-    /// for every thread count by design — the thread-invariance
-    /// metamorphic oracle below checks exactly that. Absent from
-    /// pre-PR-10 corpus lines (defaults to 0).
-    pub threads: u32,
 }
 
 impl FuzzCase {
@@ -170,13 +164,6 @@ impl FuzzCase {
                 shards: self.shards.min(8),
             }
         };
-        cfg.executor = if self.threads == 0 {
-            ExecutorMode::Serial
-        } else {
-            ExecutorMode::Windowed {
-                threads: self.threads.min(8) as usize,
-            }
-        };
         cfg
     }
 
@@ -223,7 +210,7 @@ impl FuzzCase {
              evasion={} source_cluster={} dest_cluster={} attacker_moves={} \
              attacker_fake_hello={} radio_loss_pct={} fading_pct={} \
              backward_pct={} fault_intensity_pct={} cert_validity_secs={} \
-             defense={} shards={} threads={}",
+             defense={} shards={}",
             self.seed,
             self.vehicles,
             self.sim_secs,
@@ -245,11 +232,14 @@ impl FuzzCase {
             self.cert_validity_secs,
             self.defense,
             self.shards,
-            self.threads,
         )
     }
 
     /// Parses a corpus line (inverse of [`Self::to_line`]).
+    ///
+    /// Older corpus lines may carry a `threads=` field from the retired
+    /// parallel-executor dimension; it is accepted and ignored, because the
+    /// simulator has a single serial event loop.
     pub fn parse_line(line: &str) -> Result<FuzzCase, String> {
         let mut parts = line.split_whitespace();
         if parts.next() != Some(CORPUS_TAG) {
@@ -284,7 +274,7 @@ impl FuzzCase {
                 "cert_validity_secs" => case.cert_validity_secs = n32,
                 "defense" => case.defense = n as u8,
                 "shards" => case.shards = n32,
-                "threads" => case.threads = n32,
+                "threads" => {}
                 _ => return Err(format!("unknown field `{k}`")),
             }
         }
@@ -315,7 +305,6 @@ impl FuzzCase {
             cert_validity_secs: 600,
             defense: 0,
             shards: 0,
-            threads: 0,
         }
     }
 
@@ -358,9 +347,6 @@ impl FuzzCase {
             shards: *[0u32, 0, 0, 0, 1, 2, 3, 7]
                 .get(rng.random_range(0..8usize))
                 .unwrap(),
-            threads: *[0u32, 0, 0, 0, 1, 2, 4, 8]
-                .get(rng.random_range(0..8usize))
-                .unwrap(),
         }
     }
 
@@ -368,7 +354,7 @@ impl FuzzCase {
     pub fn mutate(&self, rng: &mut StdRng) -> FuzzCase {
         let mut next = self.clone();
         for _ in 0..rng.random_range(1..=2u32) {
-            match rng.random_range(0..15u32) {
+            match rng.random_range(0..14u32) {
                 0 => next.seed = rng.random(),
                 1 => next.vehicles = rng.random_range(10..=80),
                 2 => next.attack_kind = rng.random_range(0..=6),
@@ -382,7 +368,6 @@ impl FuzzCase {
                 10 => next.fault_intensity_pct = rng.random_range(0..=100),
                 11 => next.defense = rng.random_range(0..=4),
                 12 => next.shards = *[0u32, 1, 2, 3, 7].get(rng.random_range(0..5usize)).unwrap(),
-                13 => next.threads = *[0u32, 1, 2, 4, 8].get(rng.random_range(0..5usize)).unwrap(),
                 _ => next.cert_validity_secs = *[600u32, 60, 15, 8].get(rng.random_range(0..4usize)).unwrap(),
             }
         }
@@ -609,30 +594,6 @@ pub fn metamorphic_failures(case: &FuzzCase, report: &CaseReport) -> Vec<String>
         }
     }
 
-    // Worker-thread count never changes any detection outcome either: the
-    // windowed executor stages handler effects and commits them in serial
-    // `(time, seq)` order, so it is bit-identical to the serial executor
-    // for every thread count *by construction*. Like the shard oracle
-    // above, this is differential, not statistical — any drift is an
-    // engine bug. Always eligible.
-    {
-        let mut rethreaded = case.clone();
-        rethreaded.threads = if case.threads == 2 { 8 } else { 2 };
-        let rethread_report = run_case(&rethreaded);
-        match &rethread_report.outcome {
-            Some(other) if other != outcome => failures.push(format!(
-                "thread count changed the detection outcome: threads={} \
-                 classed {:?}, threads={} classed {:?}",
-                case.threads, outcome.class, rethreaded.threads, other.class
-            )),
-            None => failures.push(format!(
-                "rethreaded twin (threads={}) panicked: {:?}",
-                rethreaded.threads, rethread_report.panic
-            )),
-            _ => {}
-        }
-    }
-
     // FP stays zero without attackers: nothing may ever be confirmed in
     // an attacker-free world, faults and bad radio included.
     if case.attack_kind == 0
@@ -763,23 +724,12 @@ mod tests {
         let case = FuzzCase::parse_line(&line).unwrap();
         assert_eq!(case.shards, 0);
         assert_eq!(case.config().backend, WorldBackend::Serial);
-        // Pre-PR-10 lines carry no `threads=` field either; they must
-        // land on the serial executor.
-        assert_eq!(case.threads, 0);
-        assert_eq!(case.config().executor, ExecutorMode::Serial);
-    }
-
-    #[test]
-    fn thread_count_never_changes_the_detection_outcome() {
-        let mut case = FuzzCase::baseline(21);
-        case.vehicles = 70;
-        let serial = run_case(&case).outcome.unwrap();
-        for threads in [1u32, 2, 8] {
-            let mut windowed = case.clone();
-            windowed.threads = threads;
-            let outcome = run_case(&windowed).outcome.unwrap();
-            assert_eq!(outcome, serial, "threads = {threads}");
-        }
+        // Lines written with the retired worker-thread dimension carry a
+        // `threads=` field; it parses and changes nothing.
+        let threaded = FuzzCase::parse_line(&format!("{line} threads=8")).unwrap();
+        assert_eq!(threaded, case);
+        assert_eq!(threaded.to_line(), case.to_line());
+        assert!(!threaded.to_line().contains("threads="));
     }
 
     #[test]

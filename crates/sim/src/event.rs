@@ -181,23 +181,6 @@ impl<P, T> EventQueue<P, T> {
         self.heap.peek().map(|s| s.time)
     }
 
-    /// Inspects the head event without popping it: its time, target node,
-    /// and whether it is a timer. The windowed executor's window former
-    /// uses this to decide whether the head may join a parallel window
-    /// (timers and deliveries to exclusive-dispatch nodes never do).
-    pub fn peek_head(&self) -> Option<(Time, NodeId, bool)> {
-        let entry = self.heap.peek()?;
-        let (node, occurrence) = self.slab[entry.slot as usize]
-            .occupant
-            .as_ref()
-            .expect("heap key points at a vacant slab slot");
-        Some((
-            entry.time,
-            *node,
-            matches!(occurrence, Occurrence::Timer { .. }),
-        ))
-    }
-
     /// Total events ever pushed (the next insertion sequence number). Two
     /// runs that agree on this at the same virtual time scheduled exactly
     /// as many occurrences — part of the checkpoint engine stamp.

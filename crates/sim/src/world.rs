@@ -6,16 +6,13 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::event::{Channel, EventQueue, Occurrence, Scheduled};
+use crate::event::{Channel, EventQueue, Occurrence};
 use crate::fault::{FaultInjector, FaultPlan, Transition};
 use crate::grid::SpatialGrid;
-use crate::node::{Context, Effect, Node, StatSink, TIMER_LOCAL_BITS};
+use crate::node::{Context, Effect, Node, TIMER_LOCAL_BITS};
 use crate::oracle::{InvariantCheck, Oracle, SimEvent, Violation};
 use crate::shard::{ShardDiagnostics, ShardedIndex, SlotView};
 use crate::{Duration, NodeId, Stats, Time};
-
-#[path = "executor.rs"]
-mod executor;
 
 /// The radio propagation model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,29 +82,6 @@ pub enum WorldBackend {
     },
 }
 
-/// Which event loop [`World::run_until`] drives.
-///
-/// Both executors are **bit-identical**: the windowed executor stages
-/// handler effects and commits them serially in the exact `(time, seq)`
-/// order the serial loop would have used, so traces, `Stats::digest`, and
-/// [`EngineStamp`] witnesses agree for any thread count. See the
-/// `executor` module docs for the safety argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorMode {
-    /// The classic one-event-at-a-time loop. The default, and the
-    /// differential oracle for the windowed executor.
-    #[default]
-    Serial,
-    /// Conservative-window parallel executor: runs of same-window
-    /// deliveries execute their handlers on worker threads, then commit
-    /// serially. `threads = 0` means "use
-    /// [`thread_budget`](crate::thread_budget)".
-    Windowed {
-        /// Worker count; `0` defers to the `BLACKDP_THREADS` budget.
-        threads: usize,
-    },
-}
-
 /// Physical-layer and engine configuration for a [`World`].
 ///
 /// Defaults follow the paper's Table I: a 1000 m DSRC transmission range
@@ -146,10 +120,6 @@ pub struct WorldConfig {
     /// actual speed breaks the coverage guarantee; the serial backend
     /// ignores this field.
     pub motion_bound_mps: f64,
-    /// Which event loop [`World::run_until`] drives (serial oracle vs.
-    /// conservative-window parallel executor). Bit-identical by
-    /// construction; see [`ExecutorMode`].
-    pub executor: ExecutorMode,
 }
 
 impl Default for WorldConfig {
@@ -165,7 +135,6 @@ impl Default for WorldConfig {
             neighbor_index: NeighborIndex::Grid,
             backend: WorldBackend::Serial,
             motion_bound_mps: f64::INFINITY,
-            executor: ExecutorMode::Serial,
         }
     }
 }
@@ -248,10 +217,9 @@ pub struct World<P, T> {
     rng: StdRng,
     stats: Stats,
     /// Index assigned to the next handler dispatch. Dispatch indices are
-    /// handed out in serial `(time, seq)` order — by the serial loop and
-    /// by the windowed executor's serial scan alike — and form the high
-    /// bits of every [`TimerId`](crate::TimerId) armed during that
-    /// dispatch, so timer ids are independent of the thread count.
+    /// handed out in `(time, seq)` event order and form the high bits of
+    /// every [`TimerId`](crate::TimerId) armed during that dispatch; a
+    /// crash barrier is the current index shifted into those bits.
     next_dispatch: u64,
     /// Timers ever armed, across all dispatches (an [`EngineStamp`]
     /// witness; the successor of the retired global timer-id counter).
@@ -276,18 +244,10 @@ pub struct World<P, T> {
     /// Observer of radio deliveries whose sender and receiver sit in
     /// different shard bands; `None` costs nothing.
     boundary_tap: Option<BoundaryTap<P>>,
-    /// Observer of windowed-executor window contents and boundaries;
-    /// `None` costs nothing and the serial executor never fires it.
-    window_tap: Option<WindowTap<P>>,
     /// Reusable receiver buffer for the broadcast hot path.
     recv_scratch: Vec<(u32, f64)>,
     /// Reusable effect buffer for the dispatch hot path.
     effects_scratch: Vec<Effect<P, T>>,
-    /// Persistent windowed-executor worker pool, created on the first
-    /// multi-lane window and reused for every window after it (spawning
-    /// threads per window would dominate sub-millisecond windows). A
-    /// derived runtime resource like `grid`: never part of a stamp.
-    window_pool: Option<executor::WindowPool<P, T>>,
 }
 
 /// A verification witness of the engine's full dynamic state at one
@@ -346,41 +306,6 @@ pub type TamperHook<P> = Box<dyn FnMut(&mut P, &mut StdRng) -> bool>;
 /// stats), so installing it cannot perturb a trace.
 pub type BoundaryTap<P> = Box<dyn FnMut(Time, NodeId, NodeId, &P, u32, u32)>;
 
-/// One observation fired by the windowed executor's serial scan phase.
-///
-/// Purely observational (fired before any handler runs, in exact
-/// `(time, seq)` order, with no RNG draws and no stats), so installing a
-/// window tap cannot perturb a trace. The serial executor never fires it.
-#[derive(Debug)]
-pub enum WindowEvent<'a, P> {
-    /// A delivery admitted to the current parallel window, in serial
-    /// order. Fired after the engine's gating (inactive / crashed drops),
-    /// so every `Delivery` will reach its node's `on_packet`.
-    Delivery {
-        /// Delivery time.
-        at: Time,
-        /// Transmitting node.
-        from: NodeId,
-        /// Receiving node.
-        to: NodeId,
-        /// Channel the packet travelled on.
-        channel: Channel,
-        /// The delivered payload.
-        payload: &'a P,
-    },
-    /// The window's scan is complete; handler execution is about to
-    /// begin. `at` is the window's last event time. Listeners that batch
-    /// work across a window (e.g. the scenario-level verify prefetcher)
-    /// flush here, so results are warm before any handler needs them.
-    Flush {
-        /// The window's last event time.
-        at: Time,
-    },
-}
-
-/// A window observer installed via [`World::set_window_tap`].
-pub type WindowTap<P> = Box<dyn FnMut(WindowEvent<'_, P>)>;
-
 impl<P, T> std::fmt::Debug for World<P, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
@@ -391,7 +316,7 @@ impl<P, T> std::fmt::Debug for World<P, T> {
     }
 }
 
-impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
+impl<P: Clone + 'static, T: Clone + 'static> World<P, T> {
     /// Creates an empty world with the given configuration.
     pub fn new(cfg: WorldConfig) -> Self {
         assert!(
@@ -431,10 +356,8 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
             grid_stamp: None,
             sharded: None,
             boundary_tap: None,
-            window_tap: None,
             recv_scratch: Vec::new(),
             effects_scratch: Vec::new(),
-            window_pool: None,
         }
     }
 
@@ -473,15 +396,6 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
     /// backend is [`WorldBackend::Sharded`] and large enough to index.
     pub fn set_boundary_tap(&mut self, tap: BoundaryTap<P>) {
         self.boundary_tap = Some(tap);
-    }
-
-    /// Installs a [`WindowTap`] observing the windowed executor's window
-    /// contents and flush boundaries. Replaces any previous tap. Inert
-    /// under [`ExecutorMode::Serial`] (and for windows too small to run
-    /// in parallel); see [`WindowEvent`] for why it cannot perturb a
-    /// trace.
-    pub fn set_window_tap(&mut self, tap: WindowTap<P>) {
-        self.window_tap = Some(tap);
     }
 
     /// Activity counters of the sharded backend ([`ShardDiagnostics`]),
@@ -779,15 +693,6 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
         };
         debug_assert!(event.time >= self.now, "event queue went backwards");
         self.now = event.time;
-        self.process_event(event);
-        true
-    }
-
-    /// Executes one popped event at `self.now == event.time`: gating
-    /// (inactive / crashed / stale-timer drops), tamper draws, taps,
-    /// oracle observations, and the handler dispatch itself. Shared by
-    /// [`Self::step`] and the windowed executor's solo-event fallbacks.
-    fn process_event(&mut self, event: Scheduled<P, T>) {
         let id = event.node;
         let active = self.is_active(id);
         match event.occurrence {
@@ -807,7 +712,7 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
                             payload: &payload,
                         },
                     );
-                    return;
+                    return true;
                 }
                 if self.is_paused(id) {
                     self.stats.incr("fault.drop.crashed");
@@ -820,7 +725,7 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
                             payload: &payload,
                         },
                     );
-                    return;
+                    return true;
                 }
                 if let Some(hook) = self.tamper.as_mut() {
                     let p = self
@@ -860,21 +765,22 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
                 // The emptiness guard skips hashing entirely on the common
                 // path — most runs cancel no or very few timers.
                 if !self.cancelled_timers.is_empty() && self.cancelled_timers.remove(&timer_id.0) {
-                    return;
+                    return true;
                 }
                 if !active {
-                    return;
+                    return true;
                 }
                 let slot = &self.nodes[id.as_usize()];
                 if slot.paused || timer_id.0 < slot.timer_barrier {
                     // Armed before the node's last crash: a rebooted node
                     // does not remember it.
                     self.stats.incr("fault.drop.timer");
-                    return;
+                    return true;
                 }
                 self.dispatch(id, |node, ctx| node.on_timer(ctx, token));
             }
         }
+        true
     }
 
     /// Applies the single next due crash/restart edge at or before
@@ -899,18 +805,7 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
 
     /// Runs events until virtual time exceeds `deadline` (events at exactly
     /// `deadline` are executed). Afterwards `now() == deadline`.
-    ///
-    /// Which event loop runs is chosen by [`WorldConfig::executor`]; both
-    /// are bit-identical (see [`ExecutorMode`]).
     pub fn run_until(&mut self, deadline: Time) {
-        match self.cfg.executor {
-            ExecutorMode::Serial => self.run_until_serial(deadline),
-            ExecutorMode::Windowed { threads } => self.run_until_windowed(deadline, threads),
-        }
-    }
-
-    /// The classic serial event loop behind [`Self::run_until`].
-    fn run_until_serial(&mut self, deadline: Time) {
         loop {
             while let Some(t) = self.queue.peek_time() {
                 if t > deadline {
@@ -931,10 +826,7 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
     }
 
     /// Runs until the event queue drains or `max_events` have executed.
-    /// Returns the number of events executed. Always drives the serial
-    /// loop regardless of [`WorldConfig::executor`] — callers use it for
-    /// bounded drains and tests where per-event control matters, not for
-    /// throughput.
+    /// Returns the number of events executed.
     pub fn run_to_completion(&mut self, max_events: u64) -> u64 {
         let mut executed = 0;
         while executed < max_events && self.step() {
@@ -943,11 +835,9 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
         executed
     }
 
-    /// Runs `f` against node `id` with a fresh serial-mode [`Context`]
-    /// (stats counted directly, zero allocations on the recycled effect
-    /// buffer), then commits the effects it emitted. The two-phase
-    /// stage/commit shape is the same as the windowed executor's — here
-    /// the commit simply follows each stage immediately.
+    /// Runs `f` against node `id` with a fresh [`Context`] (stats counted
+    /// directly, zero allocations on the recycled effect buffer), then
+    /// applies the effects it emitted.
     fn dispatch<F>(&mut self, id: NodeId, f: F)
     where
         F: FnOnce(&mut dyn Node<P, T>, &mut Context<'_, P, T>),
@@ -962,7 +852,7 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
         let mut ctx = Context {
             now: self.now,
             self_id: id,
-            stats: StatSink::Direct(&mut self.stats),
+            stats: &mut self.stats,
             timer_base,
             timers_armed: 0,
             effects,
