@@ -17,6 +17,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+echo "==> paperbench self-tests"
+# paperbench is a package of its own that calls the public API from
+# outside the workspace, so `cargo test --workspace` does not build it.
+cargo test --release --offline --manifest-path paperbench/Cargo.toml
+
 echo "==> paper shape gate (validate_shapes quick)"
 cargo run --release -p blackdp-bench --bin validate_shapes -- quick
 

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use blackdp_sim::Time;
+use blackdp_sim::{Duration, Time};
 
 use crate::config::AodvConfig;
 use crate::msg::{Addr, DataPacket, Hello, Message, Rerr, Rrep, Rreq, SeqNo};
@@ -92,7 +92,7 @@ pub enum DropReason {
     Duplicate,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingDiscovery {
     attempts: u32,
     deadline: Time,
@@ -127,7 +127,7 @@ struct PendingDiscovery {
 /// let replies = dst.handle_message(Addr(1), rreq, now);
 /// assert!(matches!(&replies[..], [Action::SendTo { next_hop: Addr(1), .. }]));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Aodv {
     addr: Addr,
     cfg: AodvConfig,
@@ -135,11 +135,68 @@ pub struct Aodv {
     next_rreq_id: u64,
     next_data_seq: u64,
     routes: RoutingTable,
-    rreq_seen: HashMap<(Addr, u64), Time>,
-    data_seen: HashMap<(Addr, u64), Time>,
+    rreq_seen: SeenIds,
+    data_seen: SeenIds,
     pending: BTreeMap<Addr, PendingDiscovery>,
     neighbors: BTreeMap<Addr, Time>,
     last_hello: Option<Time>,
+    /// Lower bound on the oldest stamp in `neighbors` (`Time::MAX` when
+    /// empty): every insert lowers it and every sweep recomputes it, so
+    /// [`Aodv::tick`] skips the sweep while it proves nobody timed out.
+    oldest_neighbor: Time,
+}
+
+/// A duplicate-id cache (`(originator, id)` → first-seen instant) that
+/// keeps a lower bound on its oldest stamp, so a sweep the bound proves
+/// would drop nothing costs no walk.
+#[derive(Debug, Clone)]
+struct SeenIds {
+    stamps: HashMap<(Addr, u64), Time>,
+    /// At most every stamp in `stamps`; `Time::MAX` when empty.
+    oldest: Time,
+}
+
+impl SeenIds {
+    fn new() -> Self {
+        SeenIds {
+            stamps: HashMap::new(),
+            oldest: Time::MAX,
+        }
+    }
+
+    fn contains(&self, key: (Addr, u64)) -> bool {
+        self.stamps.contains_key(&key)
+    }
+
+    fn insert(&mut self, key: (Addr, u64), now: Time) {
+        self.stamps.insert(key, now);
+        self.oldest = self.oldest.min(now);
+    }
+
+    /// Drops the ids older than `horizon` at `now`, unless the bound proves
+    /// there are none.
+    fn sweep(&mut self, now: Time, horizon: Duration) {
+        if !timed_out(now, self.oldest, horizon) {
+            return;
+        }
+        let mut oldest = Time::MAX;
+        self.stamps.retain(|_, &mut t| {
+            let keep = !timed_out(now, t, horizon);
+            if keep {
+                oldest = oldest.min(t);
+            }
+            keep
+        });
+        self.oldest = oldest;
+    }
+}
+
+/// The timeout predicate every maintenance sweep applies: an entry stamped
+/// `stamp` is gone once it is older than `horizon` at `now`. Older stamps
+/// time out first, so while it fails for the oldest stamp (or any lower
+/// bound on it) it fails for every entry.
+fn timed_out(now: Time, stamp: Time, horizon: Duration) -> bool {
+    now.saturating_since(stamp) > horizon
 }
 
 impl Aodv {
@@ -152,11 +209,12 @@ impl Aodv {
             next_rreq_id: 0,
             next_data_seq: 0,
             routes: RoutingTable::new(),
-            rreq_seen: HashMap::new(),
-            data_seen: HashMap::new(),
+            rreq_seen: SeenIds::new(),
+            data_seen: SeenIds::new(),
             pending: BTreeMap::new(),
             neighbors: BTreeMap::new(),
             last_hello: None,
+            oldest_neighbor: Time::MAX,
         }
     }
 
@@ -347,12 +405,18 @@ impl Aodv {
 
         // Neighbor timeouts → link breaks → RERRs.
         let lifetime = self.cfg.neighbor_lifetime();
-        let gone: Vec<Addr> = self
-            .neighbors
-            .iter()
-            .filter(|(_, &last)| now.saturating_since(last) > lifetime)
-            .map(|(&a, _)| a)
-            .collect();
+        let mut gone = Vec::new();
+        if timed_out(now, self.oldest_neighbor, lifetime) {
+            let mut oldest = Time::MAX;
+            for (&neighbor, &last) in &self.neighbors {
+                if timed_out(now, last, lifetime) {
+                    gone.push(neighbor);
+                } else {
+                    oldest = oldest.min(last);
+                }
+            }
+            self.oldest_neighbor = oldest;
+        }
         for neighbor in gone {
             self.neighbors.remove(&neighbor);
             actions.push(Action::Event(Event::LinkBroken { neighbor }));
@@ -369,20 +433,12 @@ impl Aodv {
             }
         }
 
-        // Route expiry and RREQ-id cache cleanup. The emptiness guards
-        // matter: `HashMap::retain` walks the whole bucket array even when
-        // `len` is zero, and these run on every maintenance tick.
+        // Route expiry and duplicate-id cache cleanup, each skipped while
+        // its watermark proves nothing is due: `HashMap::retain` walks the
+        // whole bucket array, and these run on every maintenance tick.
         self.routes.expire_stale(now);
-        if !self.rreq_seen.is_empty() {
-            let horizon = self.cfg.path_discovery_time();
-            self.rreq_seen
-                .retain(|_, &mut t| now.saturating_since(t) <= horizon);
-        }
-        if !self.data_seen.is_empty() {
-            let data_horizon = self.cfg.active_route_timeout;
-            self.data_seen
-                .retain(|_, &mut t| now.saturating_since(t) <= data_horizon);
-        }
+        self.rreq_seen.sweep(now, self.cfg.path_discovery_time());
+        self.data_seen.sweep(now, self.cfg.active_route_timeout);
 
         // Discovery retries / failures.
         let expired: Vec<Addr> = self
@@ -454,6 +510,7 @@ impl Aodv {
 
     fn note_neighbor(&mut self, from: Addr, now: Time) {
         self.neighbors.insert(from, now);
+        self.oldest_neighbor = self.oldest_neighbor.min(now);
         // A direct transmission is also a 1-hop route with unknown seq.
         self.routes.update(
             from,
@@ -469,7 +526,7 @@ impl Aodv {
         if rreq.orig == self.addr {
             return Vec::new(); // our own flood echoed back
         }
-        if self.rreq_seen.contains_key(&(rreq.orig, rreq.rreq_id)) {
+        if self.rreq_seen.contains((rreq.orig, rreq.rreq_id)) {
             return Vec::new();
         }
         self.rreq_seen.insert((rreq.orig, rreq.rreq_id), now);
@@ -659,7 +716,7 @@ impl Aodv {
         // or a broadcast echo (a misbehaving node rebroadcasting data);
         // re-forwarding would let N neighbors amplify every copy into an
         // exponential storm only capped by TTL.
-        if self.data_seen.contains_key(&(data.orig, data.seq_no)) {
+        if self.data_seen.contains((data.orig, data.seq_no)) {
             return vec![Action::Event(Event::DataDropped {
                 packet: data,
                 reason: DropReason::Duplicate,
@@ -719,7 +776,6 @@ impl Aodv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blackdp_sim::Duration;
 
     const NOW: Time = Time::ZERO;
 

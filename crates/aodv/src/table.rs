@@ -85,6 +85,11 @@ fn candidate_wins(current: &RouteEntry, cand_seq: Option<SeqNo>, cand_hops: u8, 
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     entries: BTreeMap<Addr, RouteEntry>,
+    /// Lower bound on the earliest `expires` of any `Valid` entry: every
+    /// insert or update that can shorten a valid lifetime lowers it, and
+    /// each [`Self::expire_stale`] scan recomputes it (`Time::MAX` when no
+    /// valid entry is left). The derived `Time::ZERO` is trivially sound.
+    next_expiry: Time,
 }
 
 impl RoutingTable {
@@ -116,6 +121,7 @@ impl RoutingTable {
     ) -> bool {
         match self.entries.get_mut(&dest) {
             None => {
+                self.next_expiry = self.next_expiry.min(expires);
                 self.entries.insert(
                     dest,
                     RouteEntry {
@@ -142,6 +148,7 @@ impl RoutingTable {
                     entry.hop_count = hop_count;
                     entry.expires = expires;
                     entry.state = RouteState::Valid;
+                    self.next_expiry = self.next_expiry.min(expires);
                     true
                 } else {
                     // Refresh the lifetime of an equally good route through
@@ -213,14 +220,27 @@ impl RoutingTable {
     }
 
     /// Marks expired valid entries invalid; returns how many were expired.
+    /// Skips the scan while `now` is below the expiry watermark, which
+    /// proves no valid entry has expired yet.
     pub fn expire_stale(&mut self, now: Time) -> usize {
+        if now < self.next_expiry {
+            return 0;
+        }
         let mut n = 0;
-        for e in self.entries.values_mut() {
-            if e.state == RouteState::Valid && e.expires <= now {
+        let mut next = Time::MAX;
+        let valid = self
+            .entries
+            .values_mut()
+            .filter(|e| e.state == RouteState::Valid);
+        for e in valid {
+            if e.expires <= now {
                 e.state = RouteState::Invalid;
                 n += 1;
+            } else {
+                next = next.min(e.expires);
             }
         }
+        self.next_expiry = next;
         n
     }
 
@@ -391,5 +411,18 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.lookup(Addr(5)).unwrap().state, RouteState::Invalid);
         assert_eq!(t.expire_stale(exp(2)), 0, "idempotent");
+    }
+
+    #[test]
+    fn expire_stale_honours_a_lifetime_shortened_by_an_rrep() {
+        let mut t = RoutingTable::new();
+        t.update(Addr(5), Some(1), Addr(2), 3, exp(100), NOW);
+        // A scan with nothing due raises the watermark to t = 100.
+        assert_eq!(t.expire_stale(exp(1)), 0);
+        // A fresher RREP replaces the route with a 5 s lifetime.
+        assert!(t.update(Addr(5), Some(2), Addr(3), 2, exp(6), exp(1)));
+        assert_eq!(t.expire_stale(exp(5)), 0);
+        assert_eq!(t.expire_stale(exp(6)), 1, "expires on time, not at t = 100");
+        assert_eq!(t.lookup(Addr(5)).unwrap().state, RouteState::Invalid);
     }
 }

@@ -65,8 +65,12 @@ struct VerifyJob {
 /// Bound on each shard of the process-global envelope memo. When an
 /// insert would grow a shard past this, that shard is cleared — crude,
 /// but O(1) amortized, allocation-stable, and the memo is a pure cache:
-/// losing it costs speed, never correctness.
-const ENVELOPE_MEMO_SHARD_CAP: usize = 8_192;
+/// losing it costs speed, never correctness. The bound is the most a
+/// `HashMap` of 8,192 buckets holds before it doubles (7/8 of them), so a
+/// full shard never reallocates to 16,384 buckets: one more step would
+/// double the memo's peak memory (~4 MiB over 16 shards) for 1/7 more
+/// entries.
+const ENVELOPE_MEMO_SHARD_CAP: usize = 8_192 / 8 * 7;
 
 /// Shard count for the envelope memo. Power of two so shard selection is
 /// a mask; sized so concurrent sweep workers rarely collide on one lock

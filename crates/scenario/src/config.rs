@@ -72,13 +72,15 @@ pub struct ScenarioConfig {
     /// Broadcast receiver lookup strategy. `Grid` (the default) and `Scan`
     /// are bit-identical; `Scan` is kept for differential testing.
     pub neighbor_index: NeighborIndex,
-    /// Engine backend answering grid-indexed neighbor queries: the serial
-    /// grid (the default, and the differential oracle) or the sharded
-    /// band index. Every backend and shard count is bit-identical —
-    /// traces, `Stats::digest`, detection verdicts, and checkpoint
-    /// witnesses do not change — so this is purely a throughput knob.
-    /// The motion-bound staleness horizon is derived from
-    /// `max_speed_kmh`, which already bounds every spawned trajectory.
+    /// Engine backend answering grid-indexed neighbor queries. The
+    /// default is the motion-bounded index, `Sharded { shards: 1 }`: its
+    /// staleness horizon is derived from `max_speed_kmh`, which already
+    /// bounds every spawned trajectory, so a Table-I trial rebuilds it
+    /// about twice instead of on nearly every jittered broadcast.
+    /// `Serial` selects the per-timestamp grid, kept as the differential
+    /// oracle. Every backend and shard count is bit-identical — traces,
+    /// `Stats::digest`, detection verdicts, and checkpoint witnesses do
+    /// not change — so this is purely a throughput knob.
     pub backend: WorldBackend,
 }
 
@@ -108,7 +110,7 @@ impl ScenarioConfig {
             backward_fraction: 0.0,
             fading_full_fraction: None,
             neighbor_index: NeighborIndex::Grid,
-            backend: WorldBackend::Serial,
+            backend: WorldBackend::Sharded { shards: 1 },
         }
     }
 

@@ -117,7 +117,7 @@ impl RsuNode {
                     }
                 }
                 ChAction::Event(e) => {
-                    ctx.count(&format!("rsu.event.{}", event_tag(&e)));
+                    ctx.count(event_tag(&e));
                     self.timeline.push((now, e.clone()));
                     self.events.push(e);
                 }
@@ -126,19 +126,20 @@ impl RsuNode {
     }
 }
 
+/// The `Stats` counter key a cluster-head event bumps.
 fn event_tag(e: &ChEvent) -> &'static str {
     match e {
-        ChEvent::MemberJoined(_) => "member_joined",
-        ChEvent::MemberLeft(_) => "member_left",
-        ChEvent::JoinRejected(_) => "join_rejected",
-        ChEvent::DetectionStarted { .. } => "detection_started",
-        ChEvent::DetectionConcluded { .. } => "detection_concluded",
-        ChEvent::IsolationRequested(_) => "isolation_requested",
-        ChEvent::Restarted => "restarted",
-        ChEvent::RevocationRetried { .. } => "revocation_retried",
-        ChEvent::RevocationAbandoned(_) => "revocation_abandoned",
-        ChEvent::DetectionDeferred { .. } => "detection_deferred",
-        ChEvent::ForwardReplayed { .. } => "forward_replayed",
+        ChEvent::MemberJoined(_) => "rsu.event.member_joined",
+        ChEvent::MemberLeft(_) => "rsu.event.member_left",
+        ChEvent::JoinRejected(_) => "rsu.event.join_rejected",
+        ChEvent::DetectionStarted { .. } => "rsu.event.detection_started",
+        ChEvent::DetectionConcluded { .. } => "rsu.event.detection_concluded",
+        ChEvent::IsolationRequested(_) => "rsu.event.isolation_requested",
+        ChEvent::Restarted => "rsu.event.restarted",
+        ChEvent::RevocationRetried { .. } => "rsu.event.revocation_retried",
+        ChEvent::RevocationAbandoned(_) => "rsu.event.revocation_abandoned",
+        ChEvent::DetectionDeferred { .. } => "rsu.event.detection_deferred",
+        ChEvent::ForwardReplayed { .. } => "rsu.event.forward_replayed",
     }
 }
 

@@ -64,11 +64,16 @@ pub enum NeighborIndex {
 /// The backend applies when [`NeighborIndex::Grid`] is selected (the
 /// default); `NeighborIndex::Scan` and small worlds
 /// (≤ `SMALL_WORLD_SCAN_MAX` slots) always use the brute-force scan.
+///
+/// A world with a known speed bound should run `Sharded { shards: 1 }`
+/// with [`WorldConfig::motion_bound_mps`] set, as every scenario world
+/// does. `Serial` is the [`WorldConfig`] default only because a bare
+/// config declares no motion bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WorldBackend {
     /// The serial [`SpatialGrid`], rebuilt once per `(timestamp, slots)`
-    /// stamp. The default, and the differential oracle for the sharded
-    /// backend.
+    /// stamp: the differential oracle for the sharded backend, and the
+    /// default for worlds that declare no motion bound.
     #[default]
     Serial,
     /// Spatially sharded index: contiguous bands of grid-cell columns with

@@ -94,13 +94,18 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 
 #[test]
 fn grid_medium_matches_brute_force_scan() {
-    let grid_cfg = ScenarioConfig::small_test();
+    let grid_cfg = sharded_exercising_config();
     assert_eq!(
         grid_cfg.neighbor_index,
         NeighborIndex::Grid,
         "grid must be the default medium"
     );
-    let mut scan_cfg = ScenarioConfig::small_test();
+    assert_eq!(
+        grid_cfg.backend,
+        WorldBackend::Sharded { shards: 1 },
+        "the motion-bounded index must be the scenario default"
+    );
+    let mut scan_cfg = sharded_exercising_config();
     scan_cfg.neighbor_index = NeighborIndex::Scan;
 
     for kind in [AttackKind::Single, AttackKind::Cooperative] {
@@ -114,13 +119,13 @@ fn grid_medium_matches_brute_force_scan() {
             .collect();
         assert_eq!(
             with_grid, with_scan,
-            "grid neighbor index must be observationally identical to the scan ({kind:?})"
+            "the production index must be observationally identical to the scan ({kind:?})"
         );
     }
 }
 
 /// A config big enough (70 vehicles + 10 RSUs + 2 TAs = 82 slots) to put
-/// the world past the small-world scan threshold, so the sharded backend
+/// the world past the small-world scan threshold, so the configured index
 /// is genuinely answering broadcast queries rather than the scan override.
 fn sharded_exercising_config() -> ScenarioConfig {
     let mut cfg = ScenarioConfig::small_test();
@@ -129,12 +134,19 @@ fn sharded_exercising_config() -> ScenarioConfig {
     cfg
 }
 
+/// `cfg` on the serial grid: the oracle side of every backend comparison.
+fn serial_oracle(cfg: &ScenarioConfig) -> ScenarioConfig {
+    let mut cfg = cfg.clone();
+    cfg.backend = WorldBackend::Serial;
+    cfg
+}
+
 #[test]
 fn sharded_backend_is_bit_identical_for_any_shard_count() {
     let cfg = sharded_exercising_config();
     let spec = TrialSpec::single(77, 3, 10);
     let faults = FaultSpec::none();
-    let (serial_outcome, serial_trace) = record_trial(&cfg, &spec, &faults);
+    let (serial_outcome, serial_trace) = record_trial(&serial_oracle(&cfg), &spec, &faults);
 
     for shards in [1u32, 2, 3, 7] {
         let mut sharded_cfg = cfg.clone();
@@ -164,7 +176,7 @@ fn attacker_straddling_a_band_boundary_matches_serial() {
         ("single", TrialSpec::single(31, 2, 10)),
         ("cooperative", TrialSpec::cooperative(31, 2, 10)),
     ] {
-        let (serial_outcome, serial_trace) = record_trial(&cfg, &spec, &faults);
+        let (serial_outcome, serial_trace) = record_trial(&serial_oracle(&cfg), &spec, &faults);
         let mut sharded_cfg = cfg.clone();
         sharded_cfg.backend = WorldBackend::Sharded { shards: 5 };
         let (outcome, trace) = record_trial(&sharded_cfg, &spec, &faults);
